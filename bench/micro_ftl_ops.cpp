@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/ssd.h"
 #include "ftl/block_allocator.h"
@@ -45,16 +46,38 @@ void BM_WorkloadNext(benchmark::State& state) {
 BENCHMARK(BM_WorkloadNext);
 
 void BM_WriteBufferInsertExtract(benchmark::State& state) {
-  ftl::WriteBuffer buffer(4096);
+  ftl::WriteBuffer buffer(4096, 4);
   util::Xoshiro256 rng(3);
   for (auto _ : state) {
     const std::uint64_t sector = rng.below(1 << 16);
     buffer.insert(sector, sector + 1, true);
     if (buffer.size() > 2048)
-      benchmark::DoNotOptimize(buffer.extract_oldest_page_group(4));
+      benchmark::DoNotOptimize(buffer.extract_oldest_page_group());
   }
 }
 BENCHMARK(BM_WriteBufferInsertExtract);
+
+// The preconditioning pattern (core::Ssd::precondition) as the buffered
+// FTLs see it: sequential 32-sector asynchronous writes into a 512-sector
+// buffer, each followed by oldest-page-group eviction while over capacity.
+// Sequential pages chain, so each eviction drains one long page group.
+void BM_WriteBufferLargeWrite(benchmark::State& state) {
+  constexpr std::uint32_t kSectorsPerPage = 4;
+  constexpr std::uint32_t kRequestSectors = 32;
+  ftl::WriteBuffer buffer(512, kSectorsPerPage);
+  std::uint64_t sector = 0;
+  std::uint64_t flushed = 0;
+  for (auto _ : state) {
+    for (std::uint32_t i = 0; i < kRequestSectors; ++i, ++sector)
+      buffer.insert(sector, sector + 1, false);
+    while (buffer.over_capacity())
+      flushed += buffer.extract_oldest_page_group().size();
+    if (sector >= (1ull << 30)) sector = 0;
+  }
+  benchmark::DoNotOptimize(flushed);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WriteBufferLargeWrite);
 
 void BM_DeviceSubpageProgram(benchmark::State& state) {
   nand::Geometry geo;
@@ -81,6 +104,34 @@ void BM_DeviceSubpageProgram(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeviceSubpageProgram);
+
+// Full-page read (the GC, RMW and host page-read primitive): one retention
+// verdict and token fetch per slot over full-page-programmed data.
+void BM_NandReadPage(benchmark::State& state) {
+  nand::Geometry geo;
+  geo.channels = 8;
+  geo.chips_per_channel = 4;
+  geo.blocks_per_chip = 8;
+  geo.pages_per_block = 128;
+  nand::NandDevice dev(geo);
+  const nand::AddressCodec codec(geo);
+  std::vector<std::uint64_t> tokens(geo.subpages_per_page);
+  const std::uint64_t pages = geo.total_pages();
+  for (std::uint64_t p = 0; p < pages; ++p) {
+    for (std::uint32_t s = 0; s < geo.subpages_per_page; ++s)
+      tokens[s] = p * geo.subpages_per_page + s + 1;
+    dev.program_full(codec.decode_page(p), tokens, 0.0);
+  }
+  SimTime now = 1.0;
+  std::uint64_t p = 0;
+  for (auto _ : state) {
+    const auto ack = dev.read_page(codec.decode_page(p), now);
+    benchmark::DoNotOptimize(ack.token[0]);
+    if (++p == pages) p = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NandReadPage);
 
 void BM_SsdSyncSmallWrite(benchmark::State& state) {
   core::SsdConfig cfg;

@@ -1,7 +1,9 @@
 #include "ftl/cgm_ftl.h"
 
 #include <algorithm>
+#include <array>
 #include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "telemetry/metrics.h"
@@ -44,7 +46,7 @@ SimTime CgmFtl::write_lpn(std::uint64_t lpn, std::uint32_t first_slot,
                           std::uint32_t slot_count, bool small_request,
                           SimTime now) {
   const std::uint32_t subs = geo_.subpages_per_page;
-  std::vector<std::uint64_t> tokens(subs, 0);
+  std::array<std::uint64_t, nand::kMaxSubpagesPerPage> tokens{};
   SimTime t = now;
 
   const bool partial = slot_count < subs;
@@ -83,7 +85,8 @@ SimTime CgmFtl::write_lpn(std::uint64_t lpn, std::uint32_t first_slot,
     pool_.invalidate(old_lin);
     l2p_[lpn] = nand::kUnmapped;
   }
-  const auto [new_lin, done] = pool_.write_page(lpn, tokens, t);
+  const auto [new_lin, done] =
+      pool_.write_page(lpn, std::span(tokens.data(), subs), t);
   l2p_[lpn] = new_lin;
   if (small_request)
     stats_.small_service_flash_bytes += geo_.page_bytes;

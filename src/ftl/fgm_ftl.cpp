@@ -1,6 +1,8 @@
 #include "ftl/fgm_ftl.h"
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <stdexcept>
 
 #include "telemetry/metrics.h"
@@ -20,7 +22,7 @@ FgmFtl::FgmFtl(nand::NandDevice& dev, const Config& config)
             [this](std::uint64_t sector, std::uint64_t new_lin) {
               l2p_[sector] = new_lin;
             }),
-      buffer_(config.buffer_sectors) {
+      buffer_(config.buffer_sectors, geo_.subpages_per_page) {
   if (config_.logical_sectors == 0)
     throw std::invalid_argument("FgmFtl: logical_sectors must be > 0");
   if (config_.logical_sectors > geo_.total_subpages())
@@ -52,8 +54,7 @@ SimTime FgmFtl::flush_run(const std::vector<BufferedSector>& run,
            run[j].sector == run[j - 1].sector + 1)
       ++j;
     const std::size_t n = j - i;
-    std::vector<SectorWrite> group;
-    group.reserve(n);
+    std::array<SectorWrite, nand::kMaxSubpagesPerPage> group;
     std::uint64_t small_in_group = 0;
     for (std::size_t k = i; k < j; ++k) {
       const BufferedSector& bs = run[k];
@@ -62,10 +63,11 @@ SimTime FgmFtl::flush_run(const std::vector<BufferedSector>& run,
         pool_.invalidate(l2p_[bs.sector]);
         l2p_[bs.sector] = nand::kUnmapped;
       }
-      group.push_back(SectorWrite{bs.sector, bs.token});
+      group[k - i] = SectorWrite{bs.sector, bs.token};
       if (bs.small) ++small_in_group;
     }
-    done = std::max(done, pool_.write_group(group, now));
+    done = std::max(done,
+                    pool_.write_group(std::span(group.data(), n), now));
     // Attribute the page's cost proportionally to its small-write sectors:
     // a lone sync 4-KB sector pays the whole 16-KB page (request WAF 4),
     // four merged ones pay 4 KB each (request WAF 1). Multiply before
@@ -105,11 +107,11 @@ IoResult FgmFtl::write(std::uint64_t sector, std::uint32_t count, bool sync,
   if (sync) {
     // Durability demanded now: flush this request's sectors together with
     // any contiguous buffered neighbors (the only merge still possible).
-    const auto run = buffer_.extract_run(sector);
+    const auto& run = buffer_.extract_run(sector);
     done = std::max(done, flush_run(run, now));
   }
   while (buffer_.over_capacity()) {
-    const auto victim = buffer_.extract_oldest_run();
+    const auto& victim = buffer_.extract_oldest_run();
     if (victim.empty()) break;
     done = std::max(done, flush_run(victim, now));
   }
@@ -152,7 +154,7 @@ IoResult FgmFtl::flush(SimTime now) {
                                     buffer_.size(), now);
   SimTime done = now;
   while (!buffer_.empty()) {
-    const auto run = buffer_.extract_oldest_run();
+    const auto& run = buffer_.extract_oldest_run();
     if (run.empty()) break;
     done = std::max(done, flush_run(run, now));
   }

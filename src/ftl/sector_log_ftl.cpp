@@ -1,8 +1,11 @@
 #include "ftl/sector_log_ftl.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "telemetry/metrics.h"
 
@@ -38,12 +41,12 @@ SectorLogFtl::SectorLogFtl(nand::NandDevice& dev, const Config& config)
                                  config.reference_scan_maintenance},
                 stats_,
                 [this](std::uint64_t sector, std::uint64_t new_lin) {
-                  log_map_[sector] = new_lin;
+                  log_map_.insert_or_assign(sector, new_lin);
                 },
                 [this](std::span<const SectorWrite> batch, SimTime now) {
                   return merge_batch(batch, now);
                 }),
-      buffer_(config.buffer_sectors) {
+      buffer_(config.buffer_sectors, geo_.subpages_per_page) {
   if (config_.logical_sectors == 0)
     throw std::invalid_argument("SectorLogFtl: logical_sectors must be > 0");
   if (config_.log_region_fraction <= 0.0 ||
@@ -69,17 +72,14 @@ void SectorLogFtl::check_range(std::uint64_t sector,
 }
 
 void SectorLogFtl::drop_log_copy(std::uint64_t sector) {
-  const auto it = log_map_.find(sector);
-  if (it == log_map_.end()) return;
-  pool_log_.invalidate(it->second);
-  log_map_.erase(it);
+  if (const auto lin = log_map_.take(sector)) pool_log_.invalidate(*lin);
 }
 
 SimTime SectorLogFtl::write_full_lpn(std::uint64_t lpn,
                                      const BufferedSector* group,
                                      SimTime now) {
   const std::uint32_t subs = geo_.subpages_per_page;
-  std::vector<std::uint64_t> tokens(subs);
+  std::array<std::uint64_t, nand::kMaxSubpagesPerPage> tokens{};
   std::uint64_t small_sectors = 0;
   for (std::uint32_t s = 0; s < subs; ++s) {
     drop_log_copy(group[s].sector);
@@ -90,7 +90,8 @@ SimTime SectorLogFtl::write_full_lpn(std::uint64_t lpn,
     pool_data_.invalidate(l2p_[lpn]);
     l2p_[lpn] = nand::kUnmapped;
   }
-  const auto [new_lin, done] = pool_data_.write_page(lpn, tokens, now);
+  const auto [new_lin, done] =
+      pool_data_.write_page(lpn, std::span(tokens.data(), subs), now);
   l2p_[lpn] = new_lin;
   stats_.small_service_flash_bytes += small_sectors * geo_.subpage_bytes();
   return done;
@@ -100,15 +101,16 @@ SimTime SectorLogFtl::append_to_log(std::span<const BufferedSector> group,
                                     SimTime now) {
   // One full-page program carrying this (<= Nsub) group -- logical-level
   // subpage granularity, physical-level full-page cost.
-  std::vector<SectorWrite> writes;
-  writes.reserve(group.size());
+  std::array<SectorWrite, nand::kMaxSubpagesPerPage> writes;
   std::uint64_t small_in_group = 0;
-  for (const BufferedSector& bs : group) {
+  for (std::size_t k = 0; k < group.size(); ++k) {
+    const BufferedSector& bs = group[k];
     drop_log_copy(bs.sector);
-    writes.push_back(SectorWrite{bs.sector, bs.token});
+    writes[k] = SectorWrite{bs.sector, bs.token};
     if (bs.small) ++small_in_group;
   }
-  const SimTime done = pool_log_.write_group(writes, now);
+  const SimTime done =
+      pool_log_.write_group(std::span(writes.data(), group.size()), now);
   stats_.small_service_flash_bytes +=
       small_in_group * (geo_.page_bytes / group.size());
   return done;
@@ -118,7 +120,10 @@ SimTime SectorLogFtl::merge_batch(std::span<const SectorWrite> batch,
                                   SimTime now) {
   // Log cleaning (the sector-log "merge"): fold live log sectors into
   // their logical pages in the data region, one RMW per page.
-  std::vector<SectorWrite> sorted(batch.begin(), batch.end());
+  // Sorted in pooled scratch (moved out for the call; see
+  // SubFtl::evict_batch).
+  std::vector<SectorWrite> sorted = std::move(merge_scratch_);
+  sorted.assign(batch.begin(), batch.end());
   std::sort(sorted.begin(), sorted.end(),
             [](const SectorWrite& a, const SectorWrite& b) {
               return a.sector < b.sector;
@@ -131,7 +136,7 @@ SimTime SectorLogFtl::merge_batch(std::span<const SectorWrite> batch,
     std::size_t j = i;
     while (j < sorted.size() && sorted[j].sector / subs == lpn) ++j;
 
-    std::vector<std::uint64_t> tokens(subs, 0);
+    std::array<std::uint64_t, nand::kMaxSubpagesPerPage> tokens{};
     SimTime t = now;
     const bool merges_old_page = l2p_[lpn] != nand::kUnmapped;
     if (merges_old_page) {
@@ -152,7 +157,8 @@ SimTime SectorLogFtl::merge_batch(std::span<const SectorWrite> batch,
       log_map_.erase(sorted[k].sector);
       tokens[sorted[k].sector % subs] = sorted[k].token;
     }
-    const auto [new_lin, page_done] = pool_data_.write_page(lpn, tokens, t);
+    const auto [new_lin, page_done] =
+        pool_data_.write_page(lpn, std::span(tokens.data(), subs), t);
     l2p_[lpn] = new_lin;
     stats_.small_extra_flash_bytes += geo_.page_bytes;
     if (sink_ && merges_old_page && sink_->wants_op(telemetry::OpKind::kRmw))
@@ -161,6 +167,7 @@ SimTime SectorLogFtl::merge_batch(std::span<const SectorWrite> batch,
     done = std::max(done, page_done);
     i = j;
   }
+  merge_scratch_ = std::move(sorted);
   return done;
 }
 
@@ -215,13 +222,11 @@ IoResult SectorLogFtl::write(std::uint64_t sector, std::uint32_t count,
 
   SimTime done = now + config_.buffer_insert_us;
   if (sync) {
-    const auto run =
-        buffer_.extract_page_group(sector, geo_.subpages_per_page);
+    const auto& run = buffer_.extract_page_group(sector);
     done = std::max(done, flush_run(run, now));
   }
   while (buffer_.over_capacity()) {
-    const auto victim =
-        buffer_.extract_oldest_page_group(geo_.subpages_per_page);
+    const auto& victim = buffer_.extract_oldest_page_group();
     if (victim.empty()) break;
     done = std::max(done, flush_run(victim, now));
   }
@@ -242,9 +247,8 @@ IoResult SectorLogFtl::read(std::uint64_t sector, std::uint32_t count,
     std::uint64_t token = 0;
     if (buffer_.lookup(s, &token)) {
       ++stats_.buffer_hits;
-    } else if (const auto it = log_map_.find(s); it != log_map_.end()) {
-      const auto ack = dev_.read_subpage(codec_.decode_subpage(it->second),
-                                         now);
+    } else if (const std::uint64_t* lin = log_map_.find(s)) {
+      const auto ack = dev_.read_subpage(codec_.decode_subpage(*lin), now);
       ++stats_.flash_reads;
       token = ack.token;
       if (ack.status != nand::ReadStatus::kOk) {
@@ -280,8 +284,7 @@ IoResult SectorLogFtl::flush(SimTime now) {
                                     buffer_.size(), now);
   SimTime done = now;
   while (!buffer_.empty()) {
-    const auto run =
-        buffer_.extract_oldest_page_group(geo_.subpages_per_page);
+    const auto& run = buffer_.extract_oldest_page_group();
     if (run.empty()) break;
     done = std::max(done, flush_run(run, now));
   }
@@ -344,8 +347,11 @@ void SectorLogFtl::save_state(util::StateWriter& w) const {
   w.pod_vec(l2p_);
   // The log map is only ever probed by key; sorted order makes the archive
   // canonical (see WriteBuffer::save_state).
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted(
-      log_map_.begin(), log_map_.end());
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted;
+  sorted.reserve(log_map_.size());
+  log_map_.for_each([&sorted](std::uint64_t sector, std::uint64_t sub) {
+    sorted.emplace_back(sector, sub);
+  });
   std::sort(sorted.begin(), sorted.end());
   w.pair_vec(sorted);
   w.pod_vec(version_);
@@ -365,7 +371,7 @@ void SectorLogFtl::load_state(util::StateReader& r) {
   r.pair_vec(sorted);
   log_map_.clear();
   log_map_.reserve(sorted.size());
-  for (const auto& [sector, sub] : sorted) log_map_.emplace(sector, sub);
+  for (const auto& [sector, sub] : sorted) log_map_.try_emplace(sector, sub);
   r.pod_vec(version_);
   writes_since_wl_ = r.u32();
   wl_toggle_ = r.b();

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ftl/block_allocator.h"
@@ -26,6 +25,7 @@
 #include "ftl/fullpage_pool.h"
 #include "ftl/write_buffer.h"
 #include "nand/device.h"
+#include "util/flat_map.h"
 
 namespace esp::ftl {
 
@@ -100,8 +100,9 @@ class SectorLogFtl : public Ftl {
   FinePool pool_log_;
   WriteBuffer buffer_;
   std::vector<std::uint64_t> l2p_;  ///< lpn -> linear page (data region)
-  std::unordered_map<std::uint64_t, std::uint64_t> log_map_;  ///< sector->sub
+  util::FlatMap<std::uint64_t> log_map_;  ///< sector -> linear subpage
   std::vector<std::uint32_t> version_;
+  std::vector<SectorWrite> merge_scratch_;  ///< merge_batch's sort buffer
   std::uint32_t writes_since_wl_ = 0;
   bool wl_toggle_ = false;
   telemetry::Sink* sink_ = nullptr;

@@ -1,8 +1,11 @@
 #include "ftl/sub_ftl.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "telemetry/metrics.h"
 #include "util/logger.h"
@@ -65,7 +68,7 @@ SubFtl::SubFtl(nand::NandDevice& dev, const Config& config)
                   return sub_hot_[sector];
                 },
                 [this](std::uint64_t sector) { sub_hot_[sector] = false; }),
-      buffer_(config.buffer_sectors) {
+      buffer_(config.buffer_sectors, geo_.subpages_per_page) {
   if (config_.logical_sectors == 0)
     throw std::invalid_argument("SubFtl: logical_sectors must be > 0");
   if (config_.subpage_region_fraction <= 0.0 ||
@@ -107,7 +110,7 @@ void SubFtl::drop_subpage_copy(std::uint64_t sector) {
 SimTime SubFtl::write_full_lpn(std::uint64_t lpn, const BufferedSector* group,
                                SimTime now) {
   const std::uint32_t subs = geo_.subpages_per_page;
-  std::vector<std::uint64_t> tokens(subs);
+  std::array<std::uint64_t, nand::kMaxSubpagesPerPage> tokens{};
   std::uint64_t small_sectors = 0;
   for (std::uint32_t s = 0; s < subs; ++s) {
     // The fresh full page supersedes any subpage-region copy.
@@ -119,7 +122,8 @@ SimTime SubFtl::write_full_lpn(std::uint64_t lpn, const BufferedSector* group,
     pool_full_.invalidate(l2p_[lpn]);
     l2p_[lpn] = nand::kUnmapped;
   }
-  const auto [new_lin, done] = pool_full_.write_page(lpn, tokens, now);
+  const auto [new_lin, done] =
+      pool_full_.write_page(lpn, std::span(tokens.data(), subs), now);
   l2p_[lpn] = new_lin;
   // Small writes that merged into a full page pay exactly their own bytes.
   stats_.small_service_flash_bytes += small_sectors * geo_.subpage_bytes();
@@ -180,7 +184,7 @@ SimTime SubFtl::rmw_into_fullpage(std::uint64_t sector, std::uint64_t token,
   // The overflow valve services a small write the CGM way; the whole
   // read + merge + full-page program attributes to RMW.
   const telemetry::CauseScope cause(sink_, telemetry::Cause::kRmw, lpn, now);
-  std::vector<std::uint64_t> tokens(subs, 0);
+  std::array<std::uint64_t, nand::kMaxSubpagesPerPage> tokens{};
   SimTime t = now;
   const bool merges_old_page = l2p_[lpn] != nand::kUnmapped;
   if (merges_old_page) {
@@ -198,7 +202,8 @@ SimTime SubFtl::rmw_into_fullpage(std::uint64_t sector, std::uint64_t token,
     l2p_[lpn] = nand::kUnmapped;
   }
   tokens[sector % subs] = token;
-  const auto [new_lin, done] = pool_full_.write_page(lpn, tokens, t);
+  const auto [new_lin, done] =
+      pool_full_.write_page(lpn, std::span(tokens.data(), subs), t);
   l2p_[lpn] = new_lin;
   if (sink_ && merges_old_page && sink_->wants_op(telemetry::OpKind::kRmw))
     sink_->record_op({telemetry::OpKind::kRmw, now, done, 1});
@@ -212,7 +217,10 @@ SimTime SubFtl::evict_batch(std::span<const SectorWrite> batch, SimTime now,
   // pages in the full-page region -- ONE read-modify-write per logical
   // page, however many of its sectors the batch carries (sequential small
   // writes evict together, so this merge matters).
-  std::vector<SectorWrite> sorted(batch.begin(), batch.end());
+  // Sorted in pooled scratch, moved out for the call so a nested eviction
+  // would get its own vector instead of clobbering this one.
+  std::vector<SectorWrite> sorted = std::move(evict_scratch_);
+  sorted.assign(batch.begin(), batch.end());
   std::sort(sorted.begin(), sorted.end(),
             [](const SectorWrite& a, const SectorWrite& b) {
               return a.sector < b.sector;
@@ -220,13 +228,13 @@ SimTime SubFtl::evict_batch(std::span<const SectorWrite> batch, SimTime now,
   const std::uint32_t subs = geo_.subpages_per_page;
   SimTime done = now;
   std::size_t i = 0;
-  std::vector<std::uint64_t> tokens(subs, 0);
+  std::array<std::uint64_t, nand::kMaxSubpagesPerPage> tokens{};
   while (i < sorted.size()) {
     const std::uint64_t lpn = sorted[i].sector / subs;
     std::size_t j = i;
     while (j < sorted.size() && sorted[j].sector / subs == lpn) ++j;
 
-    tokens.assign(subs, 0);
+    tokens.fill(0);
     SimTime t = now;
     const bool merges_old_page = l2p_[lpn] != nand::kUnmapped;
     if (merges_old_page) {
@@ -250,7 +258,8 @@ SimTime SubFtl::evict_batch(std::span<const SectorWrite> batch, SimTime now,
       sub_hot_[es] = false;
       tokens[es % subs] = sorted[k].token;
     }
-    const auto [new_lin, page_done] = pool_full_.write_page(lpn, tokens, t);
+    const auto [new_lin, page_done] =
+        pool_full_.write_page(lpn, std::span(tokens.data(), subs), t);
     l2p_[lpn] = new_lin;
     stats_.small_extra_flash_bytes += geo_.page_bytes;
     if (sink_ && merges_old_page && sink_->wants_op(telemetry::OpKind::kRmw))
@@ -259,6 +268,7 @@ SimTime SubFtl::evict_batch(std::span<const SectorWrite> batch, SimTime now,
     done = std::max(done, page_done);
     i = j;
   }
+  evict_scratch_ = std::move(sorted);
   return done;
 }
 
@@ -296,11 +306,11 @@ IoResult SubFtl::write(std::uint64_t sector, std::uint32_t count, bool sync,
 
   SimTime done = now + config_.buffer_insert_us;
   if (sync) {
-    const auto run = buffer_.extract_page_group(sector, geo_.subpages_per_page);
+    const auto& run = buffer_.extract_page_group(sector);
     done = std::max(done, flush_run(run, now));
   }
   while (buffer_.over_capacity()) {
-    const auto victim = buffer_.extract_oldest_page_group(geo_.subpages_per_page);
+    const auto& victim = buffer_.extract_oldest_page_group();
     if (victim.empty()) break;
     done = std::max(done, flush_run(victim, now));
   }
@@ -390,7 +400,7 @@ IoResult SubFtl::flush(SimTime now) {
                                     buffer_.size(), now);
   SimTime done = now;
   while (!buffer_.empty()) {
-    const auto run = buffer_.extract_oldest_page_group(geo_.subpages_per_page);
+    const auto& run = buffer_.extract_oldest_page_group();
     if (run.empty()) break;
     done = std::max(done, flush_run(run, now));
   }

@@ -128,6 +128,7 @@ class SubFtl : public Ftl {
   std::vector<bool> sub_hot_;  ///< updated since entering the region
   std::size_t sub_entries_ = 0;  ///< live subpage-map entries
   std::vector<std::uint32_t> version_;
+  std::vector<SectorWrite> evict_scratch_;  ///< evict_batch's sort buffer
   SimTime last_retention_scan_ = 0.0;
   std::uint32_t writes_since_wl_ = 0;
   bool wl_toggle_ = false;  ///< alternate regions between WL checks

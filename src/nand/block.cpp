@@ -89,12 +89,9 @@ void Block::program_subpage(std::uint32_t page, std::uint32_t slot,
   ++programmed_[page];
 }
 
-SlotView Block::slot(std::uint32_t page, std::uint32_t slot) const {
+void Block::throw_bad_slot(std::uint32_t page) const {
   check_page(page);
-  if (slot >= subs_)
-    throw std::out_of_range("Block::slot: slot out of range");
-  const std::size_t i = idx(page, slot);
-  return SlotView{state_[i], token_[i], written_at_[i], npp_[i]};
+  throw std::out_of_range("Block::slot: slot out of range");
 }
 
 bool Block::is_erased() const { return programmed_pages_ == 0; }

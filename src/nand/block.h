@@ -68,8 +68,18 @@ class Block {
   void program_subpage(std::uint32_t page, std::uint32_t slot,
                        std::uint64_t token, SimTime now);
 
-  SlotView slot(std::uint32_t page, std::uint32_t slot) const;
-  PageMode page_mode(std::uint32_t page) const { return mode_.at(page); }
+  /// Inline: the device's read path calls these once per slot read.
+  SlotView slot(std::uint32_t page, std::uint32_t slot) const {
+    if (page >= pages_ || slot >= subs_) [[unlikely]]
+      throw_bad_slot(page);
+    const std::size_t i = idx(page, slot);
+    return SlotView{state_[i], token_[i], written_at_[i], npp_[i]};
+  }
+  PageMode page_mode(std::uint32_t page) const {
+    if (page >= pages_) [[unlikely]]
+      check_page(page);
+    return mode_[page];
+  }
   /// Number of program operations the page's word line has received this
   /// erase cycle (= next programmable slot index in ESP mode).
   std::uint32_t slots_programmed(std::uint32_t page) const {
@@ -104,6 +114,8 @@ class Block {
     return static_cast<std::size_t>(page) * subs_ + slot;
   }
   void check_page(std::uint32_t page) const;
+  /// Throws std::out_of_range for a bad page, else for a bad slot.
+  [[noreturn]] void throw_bad_slot(std::uint32_t page) const;
 
   std::uint32_t pages_;
   std::uint32_t subs_;

@@ -478,7 +478,9 @@ void ForensicsCollector::finish() {
       fmt_phases(totals, sizeof totals, t.phase_us);
       fmt_phases(tail, sizeof tail, t.tail_phase_us);
       fmt_time(worst_s, sizeof worst_s, t.worst_response_us);
-      char buf[kLineCap];
+      // Sized from its parts: both phase bodies, the worst response, and
+      // 143 bytes of fixed text and integers, so the line is never cut.
+      char buf[sizeof totals + sizeof tail + sizeof worst_s + 160];
       std::snprintf(buf, sizeof buf,
                     "{\"t\":\"tnt\",\"tenant\":%u,\"requests\":%llu,"
                     "\"phases\":{%s},\"tail_requests\":%llu,\"tail\":{%s},"
